@@ -30,6 +30,7 @@
 #include "core/trainer.h"
 #include "core/trainer_watchdog.h"
 #include "ml/compiled_tree.h"
+#include "net/frame_reader.h"
 #include "net/protocol.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
@@ -48,50 +49,91 @@ namespace {
                            text);
 }
 
-/// One client socket plus the lock serializing reply writes to it: the
-/// owning reader thread and any shard worker may answer concurrently.
-struct Connection {
-  UniqueFd fd;
-  std::mutex write_mutex;
-};
+struct Connection;
 
 /// One in-flight request, parked in its shard's inbound queue between the
 /// connection reader and the shard worker.
 struct Envelope {
-  std::shared_ptr<Connection> conn;
+  Connection* conn = nullptr;
   std::uint64_t sequence = 0;
   std::uint64_t index = 0;  ///< trace request index (GET only)
   Request request{};
   bool is_put = false;
 };
 
-/// Bounded MPSC ring of envelopes for one shard. Push blocks while full
-/// (TCP backpressure) unless the caller opts for try_push (RETRY replies).
-/// Stop is drain-then-exit: pop_batch keeps returning queued work after
-/// stop() and yields 0 only once the ring is empty, so a graceful stop
-/// never discards accepted requests.
+/// A connection reader's decoded-but-unqueued envelopes for one shard,
+/// pushed as one run (one queue lock, at most one notify).
+struct StagedRun {
+  std::array<Envelope, ServingCore::kAdmissionBatchCapacity> envelopes;
+  std::size_t count = 0;
+};
+
+/// One client socket plus the lock serializing reply writes to it: the
+/// owning reader thread and any shard worker may answer concurrently.
+/// Impl::connections keeps every Connection alive until the daemon is
+/// destroyed, after all workers have joined, so envelopes and reply
+/// batches point at it without owning it.
+struct Connection {
+  UniqueFd fd;
+  std::mutex write_mutex;
+  /// One staging run per shard, used by the reader thread only. The
+  /// acceptor allocates it: allocating on each new reader thread at
+  /// session start binds that thread to a glibc malloc arena, and peak
+  /// RSS then grew by tens of MB per session over repeated sessions.
+  std::vector<StagedRun> staged;
+};
+
+/// RESULT frames encoded back to back, written with one send_all per
+/// connection: a worker's whole gather, or a run refused with RETRY.
+struct ReplyBatch {
+  std::array<std::uint8_t,
+             ServingCore::kAdmissionBatchCapacity * kResultFrameBytes>
+      frames{};
+  std::array<Connection*, ServingCore::kAdmissionBatchCapacity> conns{};
+  std::size_t count = 0;
+
+  [[nodiscard]] std::uint8_t* frame(std::size_t i) noexcept {
+    return frames.data() + i * kResultFrameBytes;
+  }
+};
+
+/// Bounded MPSC ring of envelopes for one shard. push_batch blocks while
+/// full (TCP backpressure); try_push_batch takes what fits (the rest get
+/// RETRY replies). Condition variables are notified only when a thread
+/// waits on them. Stop is drain-then-exit: pop_batch keeps returning
+/// queued work after stop() and yields 0 only once the ring is empty, so
+/// a graceful stop never discards accepted requests.
 class InboundQueue {
  public:
   explicit InboundQueue(std::size_t capacity) : ring_(capacity) {}
 
-  bool push(Envelope&& envelope) {
+  /// Append the whole run in order, waiting for room as needed. False
+  /// when the daemon is stopping; the unqueued rest is dropped.
+  bool push_batch(const Envelope* items, std::size_t count) {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_full_.wait(lock, [&] { return count_ < ring_.size() || stopped_; });
-    if (stopped_) return false;
-    ring_[(head_ + count_) % ring_.size()] = std::move(envelope);
-    ++count_;
-    not_empty_.notify_one();
+    while (count > 0) {
+      if (count_ == ring_.size() && !stopped_) {
+        ++pushers_waiting_;
+        not_full_.wait(lock,
+                       [&] { return count_ < ring_.size() || stopped_; });
+        --pushers_waiting_;
+      }
+      if (stopped_) return false;
+      const std::size_t pushed = append_locked(items, count);
+      items += pushed;
+      count -= pushed;
+      if (worker_waiting_) not_empty_.notify_one();
+    }
     return true;
   }
 
-  /// Non-blocking push; on failure the envelope is left intact.
-  bool try_push(Envelope&& envelope) {
+  /// Non-blocking: append the longest prefix that fits; returns its size.
+  std::size_t try_push_batch(const Envelope* items, std::size_t count) {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (stopped_ || count_ == ring_.size()) return false;
-    ring_[(head_ + count_) % ring_.size()] = std::move(envelope);
-    ++count_;
-    not_empty_.notify_one();
-    return true;
+    if (stopped_) return 0;
+    const std::size_t pushed = append_locked(items, count);
+    if (pushed > 0 && worker_waiting_) not_empty_.notify_one();
+    return pushed;
   }
 
   /// Block until at least one envelope (or a drained stop), then hand out
@@ -99,16 +141,20 @@ class InboundQueue {
   /// mark_idle(). Returns 0 only when stopped and empty.
   std::size_t pop_batch(Envelope* out, std::size_t max) {
     std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return count_ > 0 || stopped_; });
+    if (count_ == 0 && !stopped_) {
+      worker_waiting_ = true;
+      not_empty_.wait(lock, [&] { return count_ > 0 || stopped_; });
+      worker_waiting_ = false;
+    }
     const std::size_t gathered = std::min(count_, max);
     for (std::size_t i = 0; i < gathered; ++i) {
-      out[i] = std::move(ring_[head_]);
+      out[i] = ring_[head_];
       head_ = (head_ + 1) % ring_.size();
     }
     count_ -= gathered;
     if (gathered > 0) {
       busy_ = true;
-      not_full_.notify_all();
+      if (pushers_waiting_ > 0) not_full_.notify_all();
     }
     return gathered;
   }
@@ -116,7 +162,7 @@ class InboundQueue {
   void mark_idle() {
     const std::lock_guard<std::mutex> lock(mutex_);
     busy_ = false;
-    if (count_ == 0) idle_.notify_all();
+    if (count_ == 0 && quiescers_waiting_ > 0) idle_.notify_all();
   }
 
   /// Block until the queue is empty AND the worker is parked — the
@@ -124,7 +170,9 @@ class InboundQueue {
   /// blocked (the caller holds the dispatch lock exclusively).
   void wait_idle() {
     std::unique_lock<std::mutex> lock(mutex_);
+    ++quiescers_waiting_;
     idle_.wait(lock, [&] { return count_ == 0 && !busy_; });
+    --quiescers_waiting_;
   }
 
   void stop() {
@@ -135,6 +183,15 @@ class InboundQueue {
   }
 
  private:
+  std::size_t append_locked(const Envelope* items, std::size_t count) {
+    const std::size_t pushed = std::min(count, ring_.size() - count_);
+    for (std::size_t i = 0; i < pushed; ++i) {
+      ring_[(head_ + count_ + i) % ring_.size()] = items[i];
+    }
+    count_ += pushed;
+    return pushed;
+  }
+
   std::mutex mutex_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
@@ -142,6 +199,9 @@ class InboundQueue {
   std::vector<Envelope> ring_;
   std::size_t head_ = 0;
   std::size_t count_ = 0;
+  std::size_t pushers_waiting_ = 0;
+  std::size_t quiescers_waiting_ = 0;
+  bool worker_waiting_ = false;
   bool busy_ = false;
   bool stopped_ = false;
 };
@@ -240,28 +300,34 @@ struct Daemon::Impl {
   std::atomic<std::uint64_t> shed_replies{0};
   std::atomic<std::uint64_t> get_requests{0};
   std::atomic<std::uint64_t> put_requests{0};
+  std::atomic<std::uint64_t> socket_reads{0};
+  std::atomic<std::uint64_t> socket_writes{0};
 
   void start();
   void accept_loop();
-  void serve_connection(const std::shared_ptr<Connection>& conn);
-  bool dispatch_frame(const std::shared_ptr<Connection>& conn,
-                      const FrameHeader& header,
-                      std::span<const std::uint8_t> payload,
-                      std::uint64_t frame_number);
-  void enqueue(Envelope&& envelope);
-  void maybe_barrier(std::uint64_t index);
+  void serve_connection(Connection& conn);
+  bool dispatch_frame(Connection& conn, std::span<StagedRun> staged,
+                      const FrameView& frame);
+  void stage(std::span<StagedRun> staged, const Envelope& envelope);
+  void flush_run(std::size_t shard_index, StagedRun& run);
+  void flush_staged(std::span<StagedRun> staged);
+  void maybe_barrier(std::uint64_t index, std::span<StagedRun> staged);
   void quiesce_locked();
   void flush_barriers_locked();
   void run_barrier(std::uint64_t trigger);
   void worker_loop(Shard& shard);
-  void process_batch(Shard& shard, Envelope* batch, std::size_t count);
-  void serve_simple(Shard& shard, Envelope& envelope);
-  void serve_put(Shard& shard, Envelope& envelope);
+  void process_batch(Shard& shard, const Envelope* batch, std::size_t count,
+                     ReplyBatch& replies);
+  void serve_simple(Shard& shard, const Envelope& envelope,
+                    ReplyBatch& replies);
+  void serve_put(Shard& shard, const Envelope& envelope, ReplyBatch& replies);
   bool insert_with_ssd_retry(Shard& shard, const Request& request,
                              const PhotoMeta& photo);
-  void send_frame(Connection& conn, const std::uint8_t* data,
-                  std::size_t size);
-  void send_result(Envelope& envelope, ResultStatus status, bool degraded);
+  void send_frames(Connection& conn, const std::uint8_t* data,
+                   std::size_t size, std::size_t frames);
+  void add_result(ReplyBatch& replies, const Envelope& envelope,
+                  ResultStatus status, bool degraded) const;
+  void send_replies(ReplyBatch& replies);
   void send_error(Connection& conn, const std::string& text);
   SummaryPayload build_summary_locked();
   void assemble_result_locked();
@@ -415,67 +481,70 @@ void Daemon::Impl::accept_loop() {
     // otac-lint: allow(hotpath-alloc)
     auto connection = std::make_shared<Connection>();
     connection->fd = UniqueFd{fd};
+    // otac-lint: allow(hotpath-alloc)
+    connection->staged.resize(shards.size());
     connections_total.fetch_add(1, std::memory_order_relaxed);
     const std::lock_guard<std::mutex> lock(connections_mutex);
     // otac-lint: allow(hotpath-alloc)
     connections.push_back(connection);
     // otac-lint: allow(hotpath-alloc)
     connection_threads.emplace_back(
-        [this, connection] { serve_connection(connection); });
+        [this, raw = connection.get()] { serve_connection(*raw); });
   }
 }
 
-void Daemon::Impl::serve_connection(const std::shared_ptr<Connection>& conn) {
-  // Client frames carry fixed-size payloads (checked against the header
-  // before the payload read), so one small stack buffer serves the whole
-  // connection — the inbound path allocates nothing per frame.
-  std::array<std::uint8_t, kHeaderBytes> head{};
-  std::array<std::uint8_t, 64> body{};
-  static_assert(kGetPayloadBytes <= 64 && kPutPayloadBytes <= 64);
-  std::uint64_t frames = 0;
+void Daemon::Impl::serve_connection(Connection& conn) {
+  // Client frames carry fixed-size payloads (check_client_frame runs on
+  // each header before its payload is awaited), so the reader's fixed
+  // buffer decodes every frame of one recv() without allocating.
+  FrameReader reader{conn.fd.get(), &check_client_frame};
+  const std::span<StagedRun> staged{conn.staged};
+  std::uint64_t reads_counted = 0;
+  const auto count_reads = [&] {
+    socket_reads.fetch_add(reader.socket_reads() - reads_counted,
+                           std::memory_order_relaxed);
+    reads_counted = reader.socket_reads();
+  };
   bool running = true;
   while (running && !stop_flag.load(std::memory_order_relaxed)) {
-    const std::size_t got =
-        recv_exact(conn->fd.get(), head.data(), head.size());
-    if (got == 0) break;  // clean EOF at a frame boundary
-    const std::uint64_t number = frames + 1;
+    // Flush point: staged requests are queued before a read that may
+    // block, so a quiet client never strands decoded work.
+    if (!reader.frame_buffered()) flush_staged(staged);
     try {
-      const FrameHeader header = decode_header(
-          std::span<const std::uint8_t>(head.data(), got), number);
-      check_client_frame(header, number);
-      std::size_t body_got = 0;
-      if (header.payload_size > 0) {
-        body_got = recv_exact(conn->fd.get(), body.data(),
-                              header.payload_size);
-      }
-      verify_payload(
-          header, std::span<const std::uint8_t>(body.data(), body_got),
-          number);
+      const std::optional<FrameView> frame = reader.next();
+      count_reads();
+      if (!frame) break;  // clean EOF at a frame boundary
       frames_received.fetch_add(1, std::memory_order_relaxed);
-      ++frames;
-      running = dispatch_frame(
-          conn, header,
-          std::span<const std::uint8_t>(body.data(), header.payload_size),
-          number);
+      running = dispatch_frame(conn, staged, *frame);
     } catch (const std::exception& error) {
-      // Protocol violation: answer with the exact decode error, then drop
-      // the connection — resynchronizing a corrupt byte stream is not
-      // worth guessing at frame boundaries.
+      // Protocol violation: every frame before the bad one is answered
+      // first (flush, then wait until each shard has written its gather),
+      // then the exact decode error, then the connection is dropped —
+      // resynchronizing a corrupt byte stream is not worth guessing at
+      // frame boundaries.
+      count_reads();
       protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      send_error(*conn, error.what());
+      flush_staged(staged);
+      {
+        const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
+        quiesce_locked();
+      }
+      send_error(conn, error.what());
       running = false;
     }
   }
-  conn->fd.shutdown_both();
+  flush_staged(staged);
+  conn.fd.shutdown_both();
 }
 
-bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
-                                  const FrameHeader& header,
-                                  std::span<const std::uint8_t> payload,
-                                  std::uint64_t frame_number) {
+bool Daemon::Impl::dispatch_frame(Connection& conn,
+                                  std::span<StagedRun> staged,
+                                  const FrameView& frame) {
+  const FrameHeader& header = frame.header;
+  const std::uint64_t frame_number = frame.number;
   switch (header.type) {
     case FrameType::get_request: {
-      const GetPayload get = decode_get(payload, frame_number);
+      const GetPayload get = decode_get(frame.payload, frame_number);
       if (get.index >= trace->requests.size()) {
         fail_frame(frame_number,
                    "get index " + std::to_string(get.index) +
@@ -494,17 +563,17 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
                        "; client/server seed or scale mismatch)");
       }
       get_requests.fetch_add(1, std::memory_order_relaxed);
-      maybe_barrier(get.index);
+      maybe_barrier(get.index, staged);
       Envelope envelope;
-      envelope.conn = conn;
+      envelope.conn = &conn;
       envelope.sequence = header.sequence;
       envelope.index = get.index;
       envelope.request = request;
-      enqueue(std::move(envelope));
+      stage(staged, envelope);
       return true;
     }
     case FrameType::put_request: {
-      const PutPayload put = decode_put(payload, frame_number);
+      const PutPayload put = decode_put(frame.payload, frame_number);
       if (put.photo >= trace->catalog.photo_count()) {
         fail_frame(frame_number,
                    "put photo " + std::to_string(put.photo) +
@@ -514,18 +583,21 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
       }
       put_requests.fetch_add(1, std::memory_order_relaxed);
       Envelope envelope;
-      envelope.conn = conn;
+      envelope.conn = &conn;
       envelope.sequence = header.sequence;
       envelope.request.time = SimTime{put.time_seconds};
       envelope.request.photo = put.photo;
       envelope.is_put = true;
-      enqueue(std::move(envelope));
+      stage(staged, envelope);
       return true;
     }
     case FrameType::stats_request: {
-      // End-of-stream snapshot: quiesce every shard, fire all remaining
-      // scheduled retrain barriers, and summarize — the binary twin of
-      // the replay's end-of-run totals.
+      // End-of-stream snapshot: queue what is staged, quiesce every shard
+      // (each has written its last gather's RESULTs, so the summary
+      // follows them on the wire), fire all remaining scheduled retrain
+      // barriers, and summarize — the binary twin of the replay's
+      // end-of-run totals.
+      flush_staged(staged);
       SummaryPayload summary;
       {
         const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
@@ -533,12 +605,13 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
         flush_barriers_locked();
         summary = build_summary_locked();
       }
-      std::array<std::uint8_t, kSummaryFrameBytes> frame{};
-      encode_summary_frame(frame.data(), header.sequence, summary);
-      send_frame(*conn, frame.data(), frame.size());
+      std::array<std::uint8_t, kSummaryFrameBytes> reply{};
+      encode_summary_frame(reply.data(), header.sequence, summary);
+      send_frames(conn, reply.data(), reply.size(), 1);
       return true;
     }
     case FrameType::report_request: {
+      flush_staged(staged);
       std::string json;
       {
         const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
@@ -547,18 +620,19 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
         assemble_result_locked();
         json = result.obs.to_json();
       }
-      const std::vector<std::uint8_t> frame = encode_frame(
+      const std::vector<std::uint8_t> reply = encode_frame(
           FrameType::report, header.sequence,
           std::span<const std::uint8_t>(
               reinterpret_cast<const std::uint8_t*>(json.data()),
               json.size()));
-      send_frame(*conn, frame.data(), frame.size());
+      send_frames(conn, reply.data(), reply.size(), 1);
       return true;
     }
     case FrameType::shutdown_request: {
-      const std::vector<std::uint8_t> frame =
+      flush_staged(staged);
+      const std::vector<std::uint8_t> reply =
           encode_frame(FrameType::shutdown_ack, header.sequence, {});
-      send_frame(*conn, frame.data(), frame.size());
+      send_frames(conn, reply.data(), reply.size(), 1);
       {
         const std::lock_guard<std::mutex> lock(shutdown_mutex);
         shutdown_requested = true;
@@ -576,32 +650,58 @@ bool Daemon::Impl::dispatch_frame(const std::shared_ptr<Connection>& conn,
   fail_frame(frame_number, "unexpected frame type in dispatch");
 }
 
-void Daemon::Impl::enqueue(Envelope&& envelope) {
+void Daemon::Impl::stage(std::span<StagedRun> staged,
+                         const Envelope& envelope) {
   const std::size_t s = shard_of_photo(envelope.request.photo, shards.size());
-  // Shared dispatch lock: many readers enqueue concurrently; a retrain
-  // barrier (or a stats/report snapshot) excludes them all.
-  const std::shared_lock<std::shared_mutex> lock(dispatch_mutex);
-  Shard& shard = *shards[s];
-  if (config.retry_when_full) {
-    if (!shard.inbound.try_push(std::move(envelope))) {
-      retry_replies.fetch_add(1, std::memory_order_relaxed);
-      send_result(envelope, ResultStatus::retry, false);
-    }
-    return;
-  }
-  // Blocking dispatch: queue-full pressure propagates to the client as
-  // TCP backpressure. A false return means the daemon is stopping; the
-  // request is dropped with the connection.
-  (void)shard.inbound.push(std::move(envelope));
+  StagedRun& run = staged[s];
+  run.envelopes[run.count++] = envelope;
+  if (run.count == gather_max) flush_run(s, run);  // flush point: full run
 }
 
-void Daemon::Impl::maybe_barrier(std::uint64_t index) {
+void Daemon::Impl::flush_staged(std::span<StagedRun> staged) {
+  for (std::size_t s = 0; s < staged.size(); ++s) flush_run(s, staged[s]);
+}
+
+void Daemon::Impl::flush_run(std::size_t shard_index, StagedRun& run) {
+  if (run.count == 0) return;
+  InboundQueue& inbound = shards[shard_index]->inbound;
+  std::size_t queued = run.count;
+  {
+    // Shared dispatch lock: many readers enqueue concurrently; a retrain
+    // barrier (or a stats/report snapshot) excludes them all.
+    const std::shared_lock<std::shared_mutex> lock(dispatch_mutex);
+    if (config.retry_when_full) {
+      queued = inbound.try_push_batch(run.envelopes.data(), run.count);
+    } else {
+      // Blocking dispatch: queue-full pressure propagates to the client
+      // as TCP backpressure. A false return means the daemon is
+      // stopping; the run is dropped with the connection.
+      (void)inbound.push_batch(run.envelopes.data(), run.count);
+    }
+  }
+  if (queued < run.count) {
+    // The refused tail of the run is answered RETRY in one write.
+    ReplyBatch replies;
+    for (std::size_t i = queued; i < run.count; ++i) {
+      add_result(replies, run.envelopes[i], ResultStatus::retry, false);
+    }
+    retry_replies.fetch_add(replies.count, std::memory_order_relaxed);
+    send_replies(replies);
+  }
+  run.count = 0;
+}
+
+void Daemon::Impl::maybe_barrier(std::uint64_t index,
+                                 std::span<StagedRun> staged) {
   if (triggers.empty()) return;
   // Epoch rule, mirroring the replay (epoch_end = trigger + 1): the
   // barrier for trigger t fires before any request with index > t is
   // dispatched. The fast path is one relaxed-ish atomic read.
   std::size_t pending = next_trigger.load(std::memory_order_acquire);
   while (pending < triggers.size() && triggers[pending] < index) {
+    // Flush point: this epoch's staged requests are queued (and served
+    // by the quiesce below) before the barrier retrains.
+    flush_staged(staged);
     {
       const std::unique_lock<std::shared_mutex> lock(dispatch_mutex);
       pending = next_trigger.load(std::memory_order_relaxed);
@@ -699,29 +799,30 @@ void Daemon::Impl::run_barrier(std::uint64_t trigger) {
 }
 
 void Daemon::Impl::worker_loop(Shard& shard) {
-  // One gather's envelopes live on the worker stack; pop_batch hands out
-  // at most gather_max (<= kAdmissionBatchCapacity) per call, and returns
-  // 0 only once the daemon is stopping and the queue has drained.
+  // One gather's envelopes and replies live on the worker stack; pop_batch
+  // hands out at most gather_max (<= kAdmissionBatchCapacity) per call,
+  // and returns 0 only once the daemon is stopping and the queue has
+  // drained. Every RESULT of a gather is written before mark_idle(), so a
+  // reply sent after a quiesce (STATS, REPORT, ERROR) follows them all.
   std::array<Envelope, ServingCore::kAdmissionBatchCapacity> batch;
+  ReplyBatch replies;
   while (const std::size_t gathered =
              shard.inbound.pop_batch(batch.data(), gather_max)) {
-    process_batch(shard, batch.data(), gathered);
-    // Drop connection references before parking so clients that left
-    // don't linger until the next gather overwrites the slots.
-    for (std::size_t b = 0; b < gathered; ++b) batch[b] = Envelope{};
+    process_batch(shard, batch.data(), gathered, replies);
+    send_replies(replies);
     shard.inbound.mark_idle();
   }
 }
 
-void Daemon::Impl::process_batch(Shard& shard, Envelope* batch,
-                                 std::size_t count) {
+void Daemon::Impl::process_batch(Shard& shard, const Envelope* batch,
+                                 std::size_t count, ReplyBatch& replies) {
   shard.gather_sizes->add(static_cast<double>(count));
   if (!is_proposal) {
     for (std::size_t b = 0; b < count; ++b) {
       if (batch[b].is_put) {
-        serve_put(shard, batch[b]);
+        serve_put(shard, batch[b], replies);
       } else {
-        serve_simple(shard, batch[b]);
+        serve_simple(shard, batch[b], replies);
       }
     }
     return;
@@ -801,14 +902,14 @@ void Daemon::Impl::process_batch(Shard& shard, Envelope* batch,
   // Pass 2 — the strictly sequential cache replay in arrival order,
   // consuming the precomputed verdicts on Normal misses.
   for (std::size_t b = 0; b < count; ++b) {
-    Envelope& envelope = batch[b];
+    const Envelope& envelope = batch[b];
     switch (action[b]) {
       case Action::put:
-        serve_put(shard, envelope);
+        serve_put(shard, envelope, replies);
         break;
       case Action::shed:
         shed_replies.fetch_add(1, std::memory_order_relaxed);
-        send_result(envelope, ResultStatus::shed, false);
+        add_result(replies, envelope, ResultStatus::shed, false);
         break;
       case Action::degraded: {
         // The paper's Original policy as pressure relief: no extraction,
@@ -822,15 +923,15 @@ void Daemon::Impl::process_batch(Shard& shard, Envelope* batch,
         if (hit) {
           shard.stats.hits += 1;
           shard.stats.hit_bytes += photo.size_bytes;
-          send_result(envelope, ResultStatus::hit, true);
+          add_result(replies, envelope, ResultStatus::hit, true);
           break;
         }
         ++shard.core->degradation.degraded_admits;
         const bool stored = insert_with_ssd_retry(shard, request, photo);
-        send_result(envelope,
-                    stored ? ResultStatus::miss_admitted
-                           : ResultStatus::miss_rejected,
-                    true);
+        add_result(replies, envelope,
+                   stored ? ResultStatus::miss_admitted
+                          : ResultStatus::miss_rejected,
+                   true);
         break;
       }
       case Action::normal: {
@@ -843,7 +944,7 @@ void Daemon::Impl::process_batch(Shard& shard, Envelope* batch,
         if (hit) {
           shard.stats.hits += 1;
           shard.stats.hit_bytes += photo.size_bytes;
-          send_result(envelope, ResultStatus::hit, false);
+          add_result(replies, envelope, ResultStatus::hit, false);
           break;
         }
         if (shard.core->admit_staged(slot[b], envelope.index, request,
@@ -855,14 +956,14 @@ void Daemon::Impl::process_batch(Shard& shard, Envelope* batch,
             shard.stats.insertions += 1;
             shard.stats.inserted_bytes += photo.size_bytes;
           }
-          send_result(envelope,
-                      stored ? ResultStatus::miss_admitted
-                             : ResultStatus::miss_rejected,
-                      false);
+          add_result(replies, envelope,
+                     stored ? ResultStatus::miss_admitted
+                            : ResultStatus::miss_rejected,
+                     false);
         } else {
           shard.stats.rejected += 1;
           shard.stats.rejected_bytes += photo.size_bytes;
-          send_result(envelope, ResultStatus::miss_rejected, false);
+          add_result(replies, envelope, ResultStatus::miss_rejected, false);
         }
         break;
       }
@@ -877,7 +978,8 @@ void Daemon::Impl::process_batch(Shard& shard, Envelope* batch,
   }
 }
 
-void Daemon::Impl::serve_simple(Shard& shard, Envelope& envelope) {
+void Daemon::Impl::serve_simple(Shard& shard, const Envelope& envelope,
+                                ReplyBatch& replies) {
   // Non-proposal modes, a mirror of the replay's scalar loop.
   const Request& request = trace->requests[envelope.index];
   const PhotoMeta& photo = trace->catalog.photo(request.photo);
@@ -889,7 +991,7 @@ void Daemon::Impl::serve_simple(Shard& shard, Envelope& envelope) {
   if (hit) {
     shard.stats.hits += 1;
     shard.stats.hit_bytes += photo.size_bytes;
-    send_result(envelope, ResultStatus::hit, false);
+    add_result(replies, envelope, ResultStatus::hit, false);
     return;
   }
   bool admitted = false;
@@ -915,15 +1017,16 @@ void Daemon::Impl::serve_simple(Shard& shard, Envelope& envelope) {
       shard.stats.insertions += 1;
       shard.stats.inserted_bytes += photo.size_bytes;
     }
-    send_result(envelope, ResultStatus::miss_admitted, false);
+    add_result(replies, envelope, ResultStatus::miss_admitted, false);
   } else {
     shard.stats.rejected += 1;
     shard.stats.rejected_bytes += photo.size_bytes;
-    send_result(envelope, ResultStatus::miss_rejected, false);
+    add_result(replies, envelope, ResultStatus::miss_rejected, false);
   }
 }
 
-void Daemon::Impl::serve_put(Shard& shard, Envelope& envelope) {
+void Daemon::Impl::serve_put(Shard& shard, const Envelope& envelope,
+                             ReplyBatch& replies) {
   // Warm-path upsert: a resident photo is touched (policies require
   // insert() of a non-resident key only), a missing one is inserted.
   // Replacement state moves (and evictions it causes fold into the
@@ -934,7 +1037,7 @@ void Daemon::Impl::serve_put(Shard& shard, Envelope& envelope) {
   if (!shard.policy->access(envelope.request.photo, photo.size_bytes)) {
     (void)shard.policy->insert(envelope.request.photo, photo.size_bytes);
   }
-  send_result(envelope, ResultStatus::put_ok, false);
+  add_result(replies, envelope, ResultStatus::put_ok, false);
 }
 
 bool Daemon::Impl::insert_with_ssd_retry(Shard& shard,
@@ -962,18 +1065,21 @@ bool Daemon::Impl::insert_with_ssd_retry(Shard& shard,
   return true;
 }
 
-void Daemon::Impl::send_frame(Connection& conn, const std::uint8_t* data,
-                              std::size_t size) {
+void Daemon::Impl::send_frames(Connection& conn, const std::uint8_t* data,
+                               std::size_t size, std::size_t frames) {
   bool sent = false;
   {
     const std::lock_guard<std::mutex> lock(conn.write_mutex);
     sent = send_all(conn.fd.get(), data, size);
   }
-  if (sent) frames_sent.fetch_add(1, std::memory_order_relaxed);
+  if (sent) {
+    frames_sent.fetch_add(frames, std::memory_order_relaxed);
+    socket_writes.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
-void Daemon::Impl::send_result(Envelope& envelope, ResultStatus status,
-                               bool degraded) {
+void Daemon::Impl::add_result(ReplyBatch& replies, const Envelope& envelope,
+                              ResultStatus status, bool degraded) const {
   ResultPayload payload;
   payload.status = status;
   payload.degraded = static_cast<std::uint8_t>(degraded ? 1 : 0);
@@ -983,9 +1089,35 @@ void Daemon::Impl::send_result(Envelope& envelope, ResultStatus status,
              status == ResultStatus::miss_rejected) {
     payload.latency_us = miss_latency_us;
   }
-  std::array<std::uint8_t, kResultFrameBytes> frame{};
-  encode_result_frame(frame.data(), envelope.sequence, payload);
-  send_frame(*envelope.conn, frame.data(), frame.size());
+  encode_result_frame(replies.frame(replies.count), envelope.sequence,
+                      payload);
+  replies.conns[replies.count] = envelope.conn;
+  ++replies.count;
+}
+
+void Daemon::Impl::send_replies(ReplyBatch& replies) {
+  // One write per connection: move each connection's frames together
+  // (replies carry their sequence, so order across a write is free), then
+  // send the run, leaving the batch empty. With one client the first pass
+  // swaps nothing.
+  std::size_t begin = 0;
+  while (begin < replies.count) {
+    Connection* conn = replies.conns[begin];
+    std::size_t end = begin + 1;
+    for (std::size_t i = end; i < replies.count; ++i) {
+      if (replies.conns[i] != conn) continue;
+      if (i != end) {
+        std::swap(replies.conns[i], replies.conns[end]);
+        std::swap_ranges(replies.frame(i), replies.frame(i + 1),
+                         replies.frame(end));
+      }
+      ++end;
+    }
+    send_frames(*conn, replies.frame(begin),
+                (end - begin) * kResultFrameBytes, end - begin);
+    begin = end;
+  }
+  replies.count = 0;
 }
 
 void Daemon::Impl::send_error(Connection& conn, const std::string& text) {
@@ -994,7 +1126,7 @@ void Daemon::Impl::send_error(Connection& conn, const std::string& text) {
       FrameType::error, 0,
       std::span<const std::uint8_t>(
           reinterpret_cast<const std::uint8_t*>(text.data()), text.size()));
-  send_frame(conn, frame.data(), frame.size());
+  send_frames(conn, frame.data(), frame.size(), 1);
 }
 
 SummaryPayload Daemon::Impl::build_summary_locked() {
@@ -1061,6 +1193,10 @@ void Daemon::Impl::populate_wire_metrics() {
                       retry_replies.load(std::memory_order_relaxed));
   global_registry.set("daemon.shed_replies",
                       shed_replies.load(std::memory_order_relaxed));
+  global_registry.set("daemon.socket_reads",
+                      socket_reads.load(std::memory_order_relaxed));
+  global_registry.set("daemon.socket_writes",
+                      socket_writes.load(std::memory_order_relaxed));
 }
 
 obs::MetricsSnapshot Daemon::Impl::merged_snapshot_now() {
@@ -1217,6 +1353,8 @@ DaemonWireStats Daemon::wire_stats() const {
   out.shed_replies = impl_->shed_replies.load(std::memory_order_relaxed);
   out.get_requests = impl_->get_requests.load(std::memory_order_relaxed);
   out.put_requests = impl_->put_requests.load(std::memory_order_relaxed);
+  out.socket_reads = impl_->socket_reads.load(std::memory_order_relaxed);
+  out.socket_writes = impl_->socket_writes.load(std::memory_order_relaxed);
   return out;
 }
 

@@ -21,6 +21,18 @@
 //                          admission path (ServingCore), gated per request
 //                          by the fluid ShardQueue overload ladder
 //
+// The transport is batched at both ends. A connection reader fills a
+// 64 KB buffer with one recv() and decodes every complete frame in it
+// (net/frame_reader.h), staging GET/PUT envelopes per shard; each shard's
+// run is pushed with one queue lock and at most one notify. Staged runs
+// are flushed before a due retrain barrier, before STATS, REPORT and
+// SHUTDOWN, when a shard's run reaches gather_max, before a protocol
+// ERROR reply, and before any recv() that may block. A shard worker
+// encodes its whole gather's RESULT frames into one buffer and writes
+// them with one send per connection before it marks itself idle — so a
+// reply sent after a quiesce (STATS, REPORT, ERROR) follows every RESULT
+// of the frames before it on the wire.
+//
 // Backpressure maps to the protocol at two layers: the *fluid* ShardQueue
 // (deterministic, sim-time driven) turns Shedding into SHED replies and
 // Degraded into cheap Original-path admission flagged in the RESULT
@@ -55,8 +67,9 @@ struct DaemonConfig {
   /// Queue-full policy: false blocks the connection reader (deterministic
   /// TCP backpressure), true replies RETRY without serving.
   bool retry_when_full = false;
-  /// Requests gathered per staged admission batch (clamped to
-  /// ServingCore::kAdmissionBatchCapacity).
+  /// Requests gathered per staged admission batch, and the most a
+  /// connection reader stages for one shard before queueing them (clamped
+  /// to ServingCore::kAdmissionBatchCapacity).
   std::size_t gather_max = 64;
 };
 
@@ -72,6 +85,8 @@ struct DaemonWireStats {
   std::uint64_t shed_replies = 0;
   std::uint64_t get_requests = 0;
   std::uint64_t put_requests = 0;
+  std::uint64_t socket_reads = 0;   ///< recv() calls by connection readers
+  std::uint64_t socket_writes = 0;  ///< reply writes (one send_all each)
 };
 
 class Daemon {

@@ -5,10 +5,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "net/frame_reader.h"
 #include "net/socket.h"
 
 namespace otac::net {
@@ -18,6 +21,11 @@ namespace {
 /// PUT frames reuse the request index as sequence with the top bit set so
 /// they never collide with GET sequences (plain trace indices).
 constexpr std::uint64_t kPutSequenceBit = 1ULL << 63;
+
+/// Requests coalesced into one write when several are due at once, and
+/// the bytes one request can put on the wire (a PUT plus its GET).
+constexpr std::uint64_t kMaxRequestsPerWrite = 256;
+constexpr std::size_t kRequestFramesBytes = kPutFrameBytes + kGetFrameBytes;
 
 double quantile_us(const std::vector<std::int64_t>& sorted_ns, double q) {
   if (sorted_ns.empty()) return 0.0;
@@ -59,32 +67,17 @@ LoadgenResult run_loadgen(const Trace& trace, const LoadgenConfig& config) {
   };
 
   std::thread receiver([&] {
-    std::array<std::uint8_t, kHeaderBytes> head{};
-    std::vector<std::uint8_t> payload;
-    std::uint64_t frames = 0;
+    FrameReader reader{fd.get()};
     bool running = true;
     while (running) {
-      const std::size_t got = recv_exact(fd.get(), head.data(), head.size());
-      if (got == 0) break;  // server closed
       try {
-        const FrameHeader header = decode_header(
-            std::span<const std::uint8_t>(head.data(), got), frames + 1);
-        payload.resize(header.payload_size);  // bound-checked by the codec
-        std::size_t body_got = 0;
-        if (header.payload_size > 0) {
-          body_got =
-              recv_exact(fd.get(), payload.data(), header.payload_size);
-        }
-        verify_payload(
-            header, std::span<const std::uint8_t>(payload.data(), body_got),
-            frames + 1);
-        ++frames;
+        const std::optional<FrameView> frame = reader.next();
+        if (!frame) break;  // server closed
+        const FrameHeader& header = frame->header;
+        const std::span<const std::uint8_t> payload = frame->payload;
         switch (header.type) {
           case FrameType::result: {
-            const ResultPayload reply = decode_result(
-                std::span<const std::uint8_t>(payload.data(),
-                                              payload.size()),
-                frames);
+            const ResultPayload reply = decode_result(payload, frame->number);
             const std::int64_t t = now_ns();
             last_reply_ns.store(t, std::memory_order_relaxed);
             ++result.replies;
@@ -106,10 +99,7 @@ LoadgenResult run_loadgen(const Trace& trace, const LoadgenConfig& config) {
             break;
           }
           case FrameType::summary:
-            result.server = decode_summary(
-                std::span<const std::uint8_t>(payload.data(),
-                                              payload.size()),
-                frames);
+            result.server = decode_summary(payload, frame->number);
             break;
           case FrameType::report:
             result.server_report_json.assign(payload.begin(), payload.end());
@@ -152,43 +142,57 @@ LoadgenResult run_loadgen(const Trace& trace, const LoadgenConfig& config) {
   const double compression =
       sim_span > 0.0 && target_span > 0.0 ? target_span / sim_span : 0.0;
 
+  // Every request due by now goes out in one write (a PUT ahead of its
+  // GET when put_every selects it), so an unpaced or lagging sender costs
+  // one syscall per batch, not per frame.
   const auto start = std::chrono::steady_clock::now();
-  std::array<std::uint8_t, kGetFrameBytes> get_frame{};
-  std::array<std::uint8_t, kPutFrameBytes> put_frame{};
+  const auto due_of = [&](std::uint64_t i) {
+    const double offset_s =
+        static_cast<double>(trace.requests[i].time.seconds - t0) *
+        compression;
+    return start + std::chrono::duration_cast<
+                       std::chrono::steady_clock::duration>(
+                       std::chrono::duration<double>(offset_s));
+  };
+  std::array<std::uint8_t, kMaxRequestsPerWrite * kRequestFramesBytes>
+      batch{};
   bool send_failed = false;
-  for (std::uint64_t i = 0; i < n && !send_failed; ++i) {
-    const Request& request = trace.requests[i];
-    if (compression > 0.0) {
-      const double offset_s =
-          static_cast<double>(request.time.seconds - t0) * compression;
-      std::this_thread::sleep_until(
-          start + std::chrono::duration_cast<
-                      std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(offset_s)));
-    }
-    if (config.put_every != 0 && i % config.put_every == 0) {
-      PutPayload put;
-      put.time_seconds = request.time.seconds;
-      put.photo = request.photo;
-      encode_put_frame(put_frame.data(), kPutSequenceBit | i, put);
-      if (!send_all(fd.get(), put_frame.data(), put_frame.size())) {
-        send_failed = true;
-        break;
+  std::uint64_t i = 0;
+  while (i < n) {
+    if (compression > 0.0) std::this_thread::sleep_until(due_of(i));
+    const auto now = std::chrono::steady_clock::now();
+    const std::int64_t sent_ns = now_ns();
+    std::size_t bytes = 0;
+    std::uint64_t gets = 0;
+    std::uint64_t puts = 0;
+    do {
+      const Request& request = trace.requests[i];
+      if (config.put_every != 0 && i % config.put_every == 0) {
+        PutPayload put;
+        put.time_seconds = request.time.seconds;
+        put.photo = request.photo;
+        encode_put_frame(batch.data() + bytes, kPutSequenceBit | i, put);
+        bytes += kPutFrameBytes;
+        ++puts;
       }
-      ++result.puts;
-    }
-    GetPayload get;
-    get.index = i;
-    get.time_seconds = request.time.seconds;
-    get.photo = request.photo;
-    get.terminal = static_cast<std::uint8_t>(request.terminal);
-    send_ns[i].store(now_ns(), std::memory_order_release);
-    encode_get_frame(get_frame.data(), i, get);
-    if (!send_all(fd.get(), get_frame.data(), get_frame.size())) {
+      GetPayload get;
+      get.index = i;
+      get.time_seconds = request.time.seconds;
+      get.photo = request.photo;
+      get.terminal = static_cast<std::uint8_t>(request.terminal);
+      send_ns[i].store(sent_ns, std::memory_order_release);
+      encode_get_frame(batch.data() + bytes, i, get);
+      bytes += kGetFrameBytes;
+      ++gets;
+      ++i;
+    } while (i < n && gets < kMaxRequestsPerWrite &&
+             (compression <= 0.0 || due_of(i) <= now));
+    if (!send_all(fd.get(), batch.data(), bytes)) {
       send_failed = true;
       break;
     }
-    ++result.requests;
+    result.puts += puts;
+    result.requests += gets;
   }
   result.wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -197,17 +201,19 @@ LoadgenResult run_loadgen(const Trace& trace, const LoadgenConfig& config) {
   // End-of-stream control frames; the server's connection reader handles
   // frames in order, so STATS summarizes after every GET above is served.
   if (!send_failed) {
-    std::array<std::uint8_t, kHeaderBytes> control{};
+    std::array<std::uint8_t, 3 * kHeaderBytes> control{};
+    std::size_t bytes = 0;
     encode_header(control.data(), FrameType::stats_request, n, {});
-    send_failed = !send_all(fd.get(), control.data(), control.size());
-    if (!send_failed && config.fetch_report) {
-      encode_header(control.data(), FrameType::report_request, n + 1, {});
-      send_failed = !send_all(fd.get(), control.data(), control.size());
+    bytes += kHeaderBytes;
+    if (config.fetch_report) {
+      encode_header(control.data() + bytes, FrameType::report_request, n + 1,
+                    {});
+      bytes += kHeaderBytes;
     }
-    if (!send_failed) {
-      encode_header(control.data(), FrameType::shutdown_request, n + 2, {});
-      send_failed = !send_all(fd.get(), control.data(), control.size());
-    }
+    encode_header(control.data() + bytes, FrameType::shutdown_request, n + 2,
+                  {});
+    bytes += kHeaderBytes;
+    send_failed = !send_all(fd.get(), control.data(), bytes);
   }
   if (send_failed) {
     // Unblock the receiver (it may be mid-recv on a dead server).

@@ -96,18 +96,4 @@ bool send_all(int fd, const std::uint8_t* data, std::size_t size) noexcept {
   return true;
 }
 
-std::size_t recv_exact(int fd, std::uint8_t* data, std::size_t size) noexcept {
-  std::size_t received = 0;
-  while (received < size) {
-    const ssize_t n = ::recv(fd, data + received, size - received, 0);
-    if (n == 0) break;  // peer closed
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    received += static_cast<std::size_t>(n);
-  }
-  return received;
-}
-
 }  // namespace otac::net

@@ -1,7 +1,8 @@
 // Minimal POSIX TCP helpers shared by the daemon (net/daemon.h) and the
 // load generator (net/loadgen.h): an RAII fd, listen/connect on loopback,
-// and exact-length send/receive. No framing here — that is protocol.h's
-// job — and no portability layer: the serving tier targets Linux.
+// and exact-length send. No framing here — protocol.h encodes frames and
+// frame_reader.h reads them — and no portability layer: the serving tier
+// targets Linux.
 #pragma once
 
 #include <cstddef>
@@ -51,11 +52,5 @@ class UniqueFd {
 /// Write exactly `size` bytes; false on any error (peer gone).
 [[nodiscard]] bool send_all(int fd, const std::uint8_t* data,
                             std::size_t size) noexcept;
-
-/// Read exactly `size` bytes. Returns `size` on success, 0 on clean EOF
-/// before the first byte, and the short count when the stream ends
-/// mid-buffer (the caller turns that into a truncation error).
-[[nodiscard]] std::size_t recv_exact(int fd, std::uint8_t* data,
-                                     std::size_t size) noexcept;
 
 }  // namespace otac::net

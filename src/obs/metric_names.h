@@ -45,6 +45,8 @@ inline constexpr std::string_view kKnownCounters[] = {
     "daemon.put_requests",
     "daemon.retry_replies",
     "daemon.shed_replies",
+    "daemon.socket_reads",
+    "daemon.socket_writes",
     "degradation.degraded_admits",
     "degradation.nonfinite_feature_requests",
     "degradation.overload_transitions",

@@ -5,17 +5,26 @@
 // RunResult bit-for-bit, eviction hash included, with real sockets and
 // real worker threads underneath. Plus the wire-facing behaviors no
 // in-process test can cover: PUT serving, malformed frames answered with
-// an ERROR frame and a closed connection, and the SHUTDOWN handshake.
+// an ERROR frame and a closed connection, the SHUTDOWN handshake, and the
+// batched transport's ordering rules — however the byte stream is cut
+// into writes, every GET gets one RESULT, and a STATS or ERROR reply
+// follows every RESULT of the frames before it.
 #include "net/daemon.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/time.h>
 
+#include <algorithm>
 #include <array>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/sharded_cache.h"
+#include "net/frame_reader.h"
 #include "net/loadgen.h"
 #include "net/protocol.h"
 #include "net/socket.h"
@@ -74,6 +83,96 @@ RunResult serve_once(const RunConfig& config, LoadgenResult* client = nullptr,
   daemon.stop();
   if (client != nullptr) *client = result;
   return daemon.result();
+}
+
+/// GET frames for trace requests [0, count), back to back.
+std::vector<std::uint8_t> get_stream(std::uint64_t count) {
+  std::vector<std::uint8_t> stream(count * kGetFrameBytes);
+  for (std::uint64_t i = 0; i < count; ++i) {
+    const Request& request = test_trace().requests[i];
+    GetPayload get;
+    get.index = i;
+    get.time_seconds = request.time.seconds;
+    get.photo = request.photo;
+    get.terminal = static_cast<std::uint8_t>(request.terminal);
+    encode_get_frame(stream.data() + i * kGetFrameBytes, i, get);
+  }
+  return stream;
+}
+
+void append_control(std::vector<std::uint8_t>& stream, FrameType type,
+                    std::uint64_t sequence) {
+  const std::vector<std::uint8_t> frame = encode_frame(type, sequence, {});
+  stream.insert(stream.end(), frame.begin(), frame.end());
+}
+
+/// What a raw client session saw, in arrival order.
+struct WireLog {
+  std::vector<std::uint32_t> replies_per_get;  ///< RESULTs per sequence
+  std::uint64_t results = 0;
+  std::uint64_t retries = 0;
+  std::optional<SummaryPayload> summary;
+  std::uint64_t results_before_summary = 0;
+  std::string error;
+  std::uint64_t results_before_error = 0;
+  bool closed = false;  ///< the server closed the connection
+};
+
+/// Write `stream` in `piece`-byte sends (0 = one send) while a second
+/// thread reads replies until SHUTDOWN's ack or the server closes.
+WireLog exchange(const Daemon& daemon, const std::vector<std::uint8_t>& stream,
+                 std::uint64_t gets, std::size_t piece = 0) {
+  UniqueFd fd = tcp_connect("127.0.0.1", daemon.port());
+  WireLog log;
+  log.replies_per_get.assign(gets, 0);
+  std::thread receiver([&] {
+    FrameReader reader{fd.get()};
+    try {
+      while (const std::optional<FrameView> frame = reader.next()) {
+        switch (frame->header.type) {
+          case FrameType::result: {
+            ++log.results;
+            if (decode_result(frame->payload, frame->number).status ==
+                ResultStatus::retry) {
+              ++log.retries;
+            }
+            if (frame->header.sequence < gets) {
+              ++log.replies_per_get[frame->header.sequence];
+            }
+            break;
+          }
+          case FrameType::summary:
+            log.summary = decode_summary(frame->payload, frame->number);
+            log.results_before_summary = log.results;
+            break;
+          case FrameType::error:
+            log.error.assign(frame->payload.begin(), frame->payload.end());
+            log.results_before_error = log.results;
+            break;
+          case FrameType::shutdown_ack:
+            return;
+          default:
+            log.error = "unexpected reply frame";
+            return;
+        }
+      }
+      log.closed = true;
+    } catch (const std::exception& error) {
+      log.error = error.what();
+    }
+  });
+  const std::size_t step = piece == 0 ? stream.size() : piece;
+  for (std::size_t begin = 0; begin < stream.size(); begin += step) {
+    const std::size_t size = std::min(step, stream.size() - begin);
+    if (!send_all(fd.get(), stream.data() + begin, size)) break;
+  }
+  receiver.join();
+  return log;
+}
+
+bool every_get_answered_once(const WireLog& log) {
+  return std::all_of(log.replies_per_get.begin(), log.replies_per_get.end(),
+                     [](std::uint32_t replies) { return replies == 1; });
 }
 
 TEST(DaemonE2e, SameSeedSameScheduleTwiceIsIdentical) {
@@ -151,20 +250,16 @@ TEST(DaemonE2e, MalformedFrameGetsErrorReplyAndConnectionClose) {
     frame[3] = 0x58;  // corrupt the magic
     ASSERT_TRUE(send_all(fd.get(), frame.data(), frame.size()));
 
-    std::array<std::uint8_t, kHeaderBytes> head{};
-    ASSERT_EQ(recv_exact(fd.get(), head.data(), head.size()), head.size());
-    const FrameHeader header = decode_header(head, 1);
-    EXPECT_TRUE(header.type == FrameType::error);
-    std::vector<std::uint8_t> body(header.payload_size);
-    ASSERT_EQ(recv_exact(fd.get(), body.data(), body.size()), body.size());
-    verify_payload(header, body, 1);
-    EXPECT_EQ(std::string(body.begin(), body.end()),
+    FrameReader reader{fd.get()};
+    const std::optional<FrameView> reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(reply->header.type == FrameType::error);
+    EXPECT_EQ(std::string(reply->payload.begin(), reply->payload.end()),
               "frame 1: bad magic 0x5841544F");
 
     // The daemon drops the connection after a protocol error: the next
     // read must see EOF, not a hung socket.
-    std::uint8_t byte = 0;
-    EXPECT_EQ(recv_exact(fd.get(), &byte, 1), 0u);
+    EXPECT_FALSE(reader.next().has_value());
   }
   daemon.stop();
   EXPECT_EQ(daemon.wire_stats().protocol_errors, 1u);
@@ -185,18 +280,138 @@ TEST(DaemonE2e, OversizedHeaderRejectedBeforePayload) {
     put_u32(head.data() + 16, 1u << 30);
     ASSERT_TRUE(send_all(fd.get(), head.data(), head.size()));
 
-    std::array<std::uint8_t, kHeaderBytes> reply{};
-    ASSERT_EQ(recv_exact(fd.get(), reply.data(), reply.size()),
-              reply.size());
-    const FrameHeader header = decode_header(reply, 1);
-    EXPECT_TRUE(header.type == FrameType::error);
-    std::vector<std::uint8_t> body(header.payload_size);
-    ASSERT_EQ(recv_exact(fd.get(), body.data(), body.size()), body.size());
-    EXPECT_EQ(std::string(body.begin(), body.end()),
+    FrameReader reader{fd.get()};
+    const std::optional<FrameView> reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(reply->header.type == FrameType::error);
+    EXPECT_EQ(std::string(reply->payload.begin(), reply->payload.end()),
               "frame 1: oversized payload 1073741824 bytes (max 8388608)");
   }
   daemon.stop();
   EXPECT_EQ(daemon.wire_stats().protocol_errors, 1u);
+}
+
+TEST(DaemonE2e, StreamCutIntoAnyWritesMatchesInProcessReplay) {
+  // The whole GET stream in one write, then cut into 23-byte pieces
+  // (frames straddle every read) and 1-byte pieces (every header and
+  // payload split): the server must see the same request stream.
+  const RunConfig config = serving_config(/*overload=*/false);
+  const RunResult in_process = ShardedCache{test_system()}.run(config);
+  const std::uint64_t gets = test_trace().requests.size();
+  std::vector<std::uint8_t> stream = get_stream(gets);
+  append_control(stream, FrameType::stats_request, gets);
+  append_control(stream, FrameType::shutdown_request, gets + 1);
+  for (const std::size_t piece : {std::size_t{0}, std::size_t{23},
+                                  std::size_t{1}}) {
+    SCOPED_TRACE("piece " + std::to_string(piece));
+    DaemonConfig daemon_config;
+    daemon_config.run = config;
+    Daemon daemon{test_system(), daemon_config};
+    daemon.start();
+    const WireLog log = exchange(daemon, stream, gets, piece);
+    daemon.stop();
+    EXPECT_EQ(log.error, "");
+    EXPECT_TRUE(every_get_answered_once(log));
+    ASSERT_TRUE(log.summary.has_value());
+    EXPECT_EQ(log.results_before_summary, gets);
+    EXPECT_EQ(log.summary->eviction_hash, in_process.stats.eviction_hash);
+    EXPECT_TRUE(daemon.result() == in_process);
+    EXPECT_EQ(daemon.result().stats.eviction_hash,
+              in_process.stats.eviction_hash);
+    EXPECT_GT(daemon.wire_stats().socket_reads, 0u);
+  }
+}
+
+TEST(DaemonE2e, CorruptFrameAfterValidGetsAnswersThemFirst) {
+  DaemonConfig daemon_config;
+  daemon_config.run = serving_config(/*overload=*/false);
+  Daemon daemon{test_system(), daemon_config};
+  daemon.start();
+  constexpr std::uint64_t kGets = 100;
+  std::vector<std::uint8_t> stream = get_stream(kGets + 1);
+  stream[kGets * kGetFrameBytes + 3] = 0x58;  // corrupt the last magic
+  const WireLog log = exchange(daemon, stream, kGets);
+  daemon.stop();
+  EXPECT_TRUE(every_get_answered_once(log));
+  EXPECT_EQ(log.error, "frame 101: bad magic 0x5841544F");
+  EXPECT_EQ(log.results_before_error, kGets);
+  EXPECT_TRUE(log.closed);
+  EXPECT_EQ(daemon.wire_stats().protocol_errors, 1u);
+  EXPECT_EQ(daemon.result().stats.requests, kGets);
+}
+
+TEST(DaemonE2e, StatsAfterBurstFollowsEveryResult) {
+  DaemonConfig daemon_config;
+  daemon_config.run = serving_config(/*overload=*/true);
+  Daemon daemon{test_system(), daemon_config};
+  daemon.start();
+  constexpr std::uint64_t kGets = 500;
+  std::vector<std::uint8_t> stream = get_stream(kGets);
+  append_control(stream, FrameType::stats_request, kGets);
+  append_control(stream, FrameType::shutdown_request, kGets + 1);
+  const WireLog log = exchange(daemon, stream, kGets);
+  daemon.stop();
+  EXPECT_EQ(log.error, "");
+  ASSERT_TRUE(log.summary.has_value());
+  EXPECT_EQ(log.results_before_summary, kGets);
+  EXPECT_EQ(log.summary->requests, kGets);
+  EXPECT_TRUE(every_get_answered_once(log));
+  // One read carried the burst and both control frames; the replies went
+  // out in gathers, far fewer writes than frames.
+  const DaemonWireStats wire = daemon.wire_stats();
+  EXPECT_EQ(wire.frames_sent, kGets + 2);
+  EXPECT_LT(wire.socket_writes, wire.frames_sent);
+}
+
+TEST(DaemonE2e, QuietClientStillGetsItsResults) {
+  // A closed-loop client: GETs, then nothing until their RESULTs arrive.
+  // The reader must queue what it staged before it blocks in recv().
+  DaemonConfig daemon_config;
+  daemon_config.run = serving_config(/*overload=*/false);
+  Daemon daemon{test_system(), daemon_config};
+  daemon.start();
+  {
+    UniqueFd fd = tcp_connect("127.0.0.1", daemon.port());
+    timeval timeout{};
+    timeout.tv_sec = 5;  // a stranded request fails the test, not hangs it
+    ASSERT_EQ(::setsockopt(fd.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
+    constexpr std::uint64_t kGets = 10;
+    const std::vector<std::uint8_t> stream = get_stream(kGets);
+    ASSERT_TRUE(send_all(fd.get(), stream.data(), stream.size()));
+    FrameReader reader{fd.get()};
+    for (std::uint64_t i = 0; i < kGets; ++i) {
+      const std::optional<FrameView> reply = reader.next();
+      ASSERT_TRUE(reply.has_value()) << "reply " << i;
+      EXPECT_TRUE(reply->header.type == FrameType::result);
+    }
+  }
+  daemon.stop();
+  EXPECT_EQ(daemon.result().stats.requests, 10u);
+}
+
+TEST(DaemonE2e, RetryWhenFullAnswersEveryGetOnce) {
+  // A one-slot queue under a burst refuses most of each staged run; the
+  // refused tail is answered RETRY, everything queued is served.
+  DaemonConfig daemon_config;
+  daemon_config.run = serving_config(/*overload=*/false);
+  daemon_config.retry_when_full = true;
+  daemon_config.queue_capacity = 1;
+  Daemon daemon{test_system(), daemon_config};
+  daemon.start();
+  const std::uint64_t gets = test_trace().requests.size();
+  std::vector<std::uint8_t> stream = get_stream(gets);
+  append_control(stream, FrameType::stats_request, gets);
+  append_control(stream, FrameType::shutdown_request, gets + 1);
+  const WireLog log = exchange(daemon, stream, gets);
+  daemon.stop();
+  EXPECT_EQ(log.error, "");
+  EXPECT_TRUE(every_get_answered_once(log));
+  EXPECT_GT(log.retries, 0u);
+  ASSERT_TRUE(log.summary.has_value());
+  EXPECT_EQ(log.summary->requests + log.retries, gets);
+  EXPECT_EQ(daemon.wire_stats().retry_replies, log.retries);
 }
 
 TEST(DaemonE2e, ShutdownHandshakeUnblocksWaiters) {
@@ -209,9 +424,10 @@ TEST(DaemonE2e, ShutdownHandshakeUnblocksWaiters) {
     const std::vector<std::uint8_t> request =
         encode_frame(FrameType::shutdown_request, 1, {});
     ASSERT_TRUE(send_all(fd.get(), request.data(), request.size()));
-    std::array<std::uint8_t, kHeaderBytes> head{};
-    ASSERT_EQ(recv_exact(fd.get(), head.data(), head.size()), head.size());
-    EXPECT_TRUE(decode_header(head, 1).type == FrameType::shutdown_ack);
+    FrameReader reader{fd.get()};
+    const std::optional<FrameView> reply = reader.next();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_TRUE(reply->header.type == FrameType::shutdown_ack);
   }
   // Returns because of the SHUTDOWN frame, not a stop() call.
   daemon.wait_for_shutdown();

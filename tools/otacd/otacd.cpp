@@ -131,8 +131,9 @@ int run(const FlagParser& flags) {
   const net::DaemonWireStats wire = daemon.wire_stats();
   std::cout << "otacd: served " << result.stats.requests << " requests ("
             << wire.connections << " connections, " << wire.frames_received
-            << " frames in / " << wire.frames_sent << " out, "
-            << wire.protocol_errors << " protocol errors)\n"
+            << " frames in / " << wire.frames_sent << " out in "
+            << wire.socket_reads << " reads / " << wire.socket_writes
+            << " writes, " << wire.protocol_errors << " protocol errors)\n"
             << "otacd: hit rate "
             << (result.stats.requests > 0
                     ? static_cast<double>(result.stats.hits) /

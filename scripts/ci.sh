@@ -7,8 +7,10 @@
 #
 # Jobs:
 #   build        configure + build everything + full ctest (the tier-1 gate)
-#   robustness   ASan+UBSan over the `robustness` ctest label
-#                (failpoints, crash-safe checkpointing, crash recovery)
+#   robustness   ASan+UBSan (with _GLIBCXX_ASSERTIONS) over the
+#                `robustness` ctest label (failpoints, crash-safe
+#                checkpointing, crash recovery) and the `hotpath` label
+#                (golden pins, sharded replay streams)
 #   concurrency  TSan over the `concurrency` ctest label
 #                (sharded stress + determinism)
 #   chaos        chaos-schedule gate: the `chaos` ctest label (builtin
@@ -66,9 +68,11 @@ case "$JOB" in
   robustness)
     BUILD_DIR="${BUILD_DIR:-build-asan}"
     cmake -B "$BUILD_DIR" -S . -DOTAC_SANITIZE=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo
-    cmake --build "$BUILD_DIR" --target test_robustness -j"$(nproc)"
+    cmake --build "$BUILD_DIR" --target test_robustness test_golden_cachesim \
+      test_golden_ml test_sharded -j"$(nproc)"
     ctest --test-dir "$BUILD_DIR" -L robustness --output-on-failure -j"$(nproc)"
-    echo "robustness suite clean under ASan+UBSan"
+    ctest --test-dir "$BUILD_DIR" -L hotpath --output-on-failure -j"$(nproc)"
+    echo "robustness and hotpath suites clean under ASan+UBSan"
     ;;
 
   concurrency)

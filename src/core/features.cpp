@@ -1,6 +1,7 @@
 #include "core/features.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "util/sim_time.h"
 
@@ -14,9 +15,16 @@ const std::vector<std::string>& FeatureExtractor::feature_names() {
   return names;
 }
 
-FeatureExtractor::FeatureExtractor(const PhotoCatalog& catalog)
-    : last_access_(catalog.photo_count(), kNever),
+FeatureExtractor::FeatureExtractor(const PhotoCatalog& catalog,
+                                   std::span<std::int64_t> shared_last_access)
+    : shared_last_access_(shared_last_access),
       owner_stats_(catalog.owner_count()) {
+  if (shared_last_access.empty()) {
+    own_last_access_.assign(catalog.photo_count(), kNeverAccessed);
+  } else if (shared_last_access.size() < catalog.photo_count()) {
+    throw std::invalid_argument(
+        "FeatureExtractor: shared last-access array smaller than catalog");
+  }
   // avg_views starts at 0 / max(1, photos) == 0 for every owner; the
   // divisor and active_friends are fixed catalog properties materialized
   // once so the hot path never touches the catalog's owner table.
@@ -30,7 +38,7 @@ FeatureExtractor::FeatureExtractor(const PhotoCatalog& catalog)
 }
 
 void FeatureExtractor::advance_window_to(std::int64_t second) noexcept {
-  if (window_now_ == kNever) {
+  if (window_now_ == kNeverAccessed) {
     window_now_ = second;
     return;
   }
@@ -62,9 +70,9 @@ void FeatureExtractor::extract(const Request& request, const PhotoMeta& photo,
   out[kPhotoAge] = static_cast<float>(
       ten_minute_buckets(std::max<std::int64_t>(0, now - photo.upload_time.seconds)));
   // Recency: since last access, or since upload when never accessed (§3.2.1).
-  const std::int64_t last = last_access_[request.photo];
+  const std::int64_t last = last_access(request.photo);
   const std::int64_t reference =
-      last == kNever ? photo.upload_time.seconds : last;
+      last == kNeverAccessed ? photo.upload_time.seconds : last;
   out[kRecency] = static_cast<float>(
       ten_minute_buckets(std::max<std::int64_t>(0, now - reference)));
   out[kTerminal] =
@@ -74,7 +82,7 @@ void FeatureExtractor::extract(const Request& request, const PhotoMeta& photo,
 }
 
 void FeatureExtractor::observe(const Request& request, const PhotoMeta& photo) {
-  last_access_[request.photo] = request.time.seconds;
+  last_access(request.photo) = request.time.seconds;
   // Maintain the avg-views feature incrementally: same double-precision
   // quotient the old per-extract recompute produced, done once per observe
   // instead of once per extract.
@@ -93,7 +101,7 @@ void FeatureExtractor::extract_and_observe(const Request& request,
                                            const PhotoMeta& photo,
                                            std::span<float> out) {
   OwnerStats& owner = owner_stats_[photo.owner];
-  std::int64_t& last_slot = last_access_[request.photo];
+  std::int64_t& last_slot = last_access(request.photo);
   const std::int64_t now = request.time.seconds;
 
   // -- extract: identical expressions to extract(), reading the
@@ -106,7 +114,7 @@ void FeatureExtractor::extract_and_observe(const Request& request,
       std::max<std::int64_t>(0, now - photo.upload_time.seconds)));
   const std::int64_t last = last_slot;
   const std::int64_t reference =
-      last == kNever ? photo.upload_time.seconds : last;
+      last == kNeverAccessed ? photo.upload_time.seconds : last;
   out[kRecency] = static_cast<float>(
       ten_minute_buckets(std::max<std::int64_t>(0, now - reference)));
   out[kTerminal] = request.terminal == TerminalType::mobile ? 1.0F : 0.0F;

@@ -39,7 +39,20 @@ class FeatureExtractor {
 
   [[nodiscard]] static const std::vector<std::string>& feature_names();
 
-  explicit FeatureExtractor(const PhotoCatalog& catalog);
+  /// Last-access time of a photo that has not been requested yet.
+  static constexpr std::int64_t kNeverAccessed =
+      std::numeric_limits<std::int64_t>::min();
+
+  /// With an empty `shared_last_access` the extractor owns its per-photo
+  /// last-access array. Otherwise it reads and writes the caller's array,
+  /// which must hold catalog.photo_count() slots starting at
+  /// kNeverAccessed and outlive this extractor (and its copies, which
+  /// share it). Extractors that observe disjoint photo sets — the shards
+  /// of one sharded replay — can share one array: each touches only its
+  /// own photos' slots, so they never race and see exactly what private
+  /// arrays would hold.
+  explicit FeatureExtractor(const PhotoCatalog& catalog,
+                            std::span<std::int64_t> shared_last_access = {});
 
   /// Features for this request given the state *before* it. Writes exactly
   /// kFeatureCount floats.
@@ -70,7 +83,7 @@ class FeatureExtractor {
   /// arrays are large and accessed in photo/owner order, i.e. randomly).
   void prefetch(const Request& request, const PhotoMeta& photo) const noexcept {
 #if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&last_access_[request.photo]);
+    __builtin_prefetch(&last_access(request.photo));
     __builtin_prefetch(&owner_stats_[photo.owner]);
 #else
     (void)request;
@@ -86,10 +99,21 @@ class FeatureExtractor {
  private:
   void advance_window_to(std::int64_t second) noexcept;
 
-  // Per-photo time of last access (seconds; kNever = not accessed yet).
-  static constexpr std::int64_t kNever =
-      std::numeric_limits<std::int64_t>::min();
-  std::vector<std::int64_t> last_access_;
+  // Per-photo time of last access (seconds; kNeverAccessed = not accessed
+  // yet): this extractor's own vector, or the caller's array when
+  // shared_last_access_ is non-empty. Copies of an owning extractor get
+  // their own vector; copies of a sharing one share the caller's array.
+  [[nodiscard]] std::int64_t& last_access(PhotoId photo) noexcept {
+    return shared_last_access_.empty() ? own_last_access_[photo]
+                                       : shared_last_access_[photo];
+  }
+  [[nodiscard]] const std::int64_t& last_access(
+      PhotoId photo) const noexcept {
+    return shared_last_access_.empty() ? own_last_access_[photo]
+                                       : shared_last_access_[photo];
+  }
+  std::vector<std::int64_t> own_last_access_;
+  std::span<std::int64_t> shared_last_access_;
 
   // Per-owner state, folded into ONE struct so each request touches a
   // single cache line per owner: the cumulative view count, the
@@ -112,7 +136,7 @@ class FeatureExtractor {
   // Sliding 60-second request-count window (per-second ring buffer).
   static constexpr std::size_t kWindowSeconds = 60;
   std::array<std::uint32_t, kWindowSeconds> window_counts_{};
-  std::int64_t window_now_ = kNever;
+  std::int64_t window_now_ = kNeverAccessed;  // no second seen yet
   std::uint64_t window_total_ = 0;
 };
 

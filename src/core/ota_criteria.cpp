@@ -9,10 +9,24 @@ double one_time_fraction(const NextAccessInfo& oracle,
                          std::uint64_t num_requests, double m) {
   if (num_requests == 0) return 0.0;
   std::uint64_t one_time = 0;
-  for (std::uint64_t i = 0; i < num_requests; ++i) {
-    const std::uint64_t distance = oracle.reaccess_distance(i);
-    if (distance == kNoNextAccess || static_cast<double>(distance) > m) {
-      ++one_time;
+  // For an integer distance d and 0 <= m < 2^53, double(d) > m is exactly
+  // d > floor(m): below 2^53 the conversion is exact, and above it both
+  // sides hold. So the fixpoint pass is one integer compare per request.
+  // A missing reaccess needs no branch: kNoNextAccess - i is at least
+  // 2^64 - num_requests, which exceeds any threshold below 2^53.
+  constexpr double kExactIntegers = 9007199254740992.0;  // 2^53
+  if (m >= 0.0 && m < kExactIntegers) {  // false for NaN
+    const auto threshold = static_cast<std::uint64_t>(m);
+    const std::uint64_t* next = oracle.next.data();
+    for (std::uint64_t i = 0; i < num_requests; ++i) {
+      one_time += next[i] - i > threshold ? 1 : 0;
+    }
+  } else {
+    for (std::uint64_t i = 0; i < num_requests; ++i) {
+      const std::uint64_t distance = oracle.reaccess_distance(i);
+      if (distance == kNoNextAccess || static_cast<double>(distance) > m) {
+        ++one_time;
+      }
     }
   }
   return static_cast<double>(one_time) / static_cast<double>(num_requests);

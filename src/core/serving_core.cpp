@@ -43,8 +43,9 @@ bool validate_serving_model(const ml::DecisionTree& tree,
 
 ServingCore::ServingCore(const PhotoCatalog& catalog,
                          const NextAccessInfo& oracle, ServingConfig config,
-                         std::size_t history_capacity)
-    : extractor(catalog),
+                         std::size_t history_capacity,
+                         std::span<std::int64_t> shared_last_access)
+    : extractor(catalog, shared_last_access),
       history(history_capacity),
       config_(std::move(config)),
       oracle_(&oracle),

@@ -119,8 +119,11 @@ class ServingCore {
   static constexpr std::size_t kAdmissionBatchCapacity =
       ml::CompiledTree::kMaxBatch;
 
+  /// `shared_last_access` goes to the extractor: empty = it owns its
+  /// per-photo last-access array (see FeatureExtractor's constructor).
   ServingCore(const PhotoCatalog& catalog, const NextAccessInfo& oracle,
-              ServingConfig config, std::size_t history_capacity);
+              ServingConfig config, std::size_t history_capacity,
+              std::span<std::int64_t> shared_last_access = {});
 
   /// Steps 4-7 of §4.2 against the given model (nullptr = no model yet):
   /// extract features, predict one-time vs not, rectify via the history

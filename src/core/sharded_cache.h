@@ -4,7 +4,9 @@
 // worker threads (util/thread_pool). This is how production write-avoiding
 // caches scale admission with cores (Flashield, arXiv:1702.02588; the
 // ML-driven cloud block-store caches of arXiv:2501.14770) — the keyspace
-// partition means shards share no mutable state on the request path.
+// partition means shards write no common memory on the request path (the
+// one shared array, per-photo last-access times, is split by the same
+// partition: each shard writes only its own photos' slots).
 //
 // The CART model is the one deliberately shared piece: a read-mostly
 // shared_ptr slot (core/model_slot.h) that workers snapshot and the
@@ -26,9 +28,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <span>
 #include <vector>
 
 #include "core/intelligent_cache.h"
+#include "core/trainer.h"
 
 namespace otac {
 
@@ -45,6 +50,13 @@ namespace otac {
 /// and retrains, the new model is atomically published, replay resumes.
 [[nodiscard]] std::vector<std::uint64_t> retrain_trigger_indices(
     const Trace& trace, const OtaConfig& ota);
+
+/// Merge per-shard training-sample buffers, each already in trace order,
+/// into one trace-ordered vector sized exactly once. Trace indices are
+/// unique across buffers, so this equals concatenating them and sorting by
+/// index — without the sort.
+[[nodiscard]] std::vector<TrainingSample> merge_trace_ordered(
+    std::span<const std::deque<TrainingSample>* const> buffers);
 
 class ShardedCache {
  public:

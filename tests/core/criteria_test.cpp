@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "trace/trace_generator.h"
 
 namespace otac {
@@ -88,6 +92,74 @@ TEST(Criteria, HitRateClamped) {
   const CriteriaResult r = compute_criteria(trace, oracle, 1000, 5.0);
   EXPECT_LE(r.h, 0.999);
   EXPECT_GT(r.m, 0.0);
+}
+
+// The expression one_time_fraction evaluated per request before its
+// integer fast path; the fast path must agree with it for every m.
+double reference_one_time_fraction(const NextAccessInfo& oracle,
+                                   std::uint64_t num_requests, double m) {
+  if (num_requests == 0) return 0.0;
+  std::uint64_t one_time = 0;
+  for (std::uint64_t i = 0; i < num_requests; ++i) {
+    const std::uint64_t distance = oracle.reaccess_distance(i);
+    if (distance == kNoNextAccess || static_cast<double>(distance) > m) {
+      ++one_time;
+    }
+  }
+  return static_cast<double>(one_time) / static_cast<double>(num_requests);
+}
+
+TEST(Criteria, OneTimeFractionMatchesFloatingCompareAtEveryThreshold) {
+  // Distances on both sides of each integer threshold, up to and past
+  // 2^53 where doubles stop being exact, plus never-reaccessed requests.
+  constexpr std::uint64_t k53 = std::uint64_t{1} << 53;
+  const std::vector<std::uint64_t> distances = {
+      1,       2,       7,       8,       9,           100,
+      k53 - 1, k53,     k53 + 1, k53 + 3, std::uint64_t{1} << 60,
+      kNoNextAccess, kNoNextAccess};
+  NextAccessInfo oracle;
+  for (std::uint64_t i = 0; i < distances.size(); ++i) {
+    oracle.next.push_back(distances[i] == kNoNextAccess ? kNoNextAccess
+                                                        : i + distances[i]);
+  }
+  const std::uint64_t n = oracle.next.size();
+  const double thresholds[] = {-1.0,
+                               0.0,
+                               0.5,
+                               7.999,
+                               8.0,
+                               static_cast<double>(k53 - 1),
+                               static_cast<double>(k53),
+                               0x1p60,
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN()};
+  for (const double m : thresholds) {
+    EXPECT_EQ(one_time_fraction(oracle, n, m),
+              reference_one_time_fraction(oracle, n, m))
+        << "m=" << m;
+  }
+  // Spot values: everything is one-time below 0 and at NaN (a NaN
+  // compare is false, so only the two never-reaccessed requests count),
+  // distances 1..8 survive m = 8.
+  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, n, -1.0), 1.0);
+  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, n, std::nan("")), 2.0 / 13.0);
+  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, n, 8.0), 9.0 / 13.0);
+  EXPECT_DOUBLE_EQ(one_time_fraction(oracle, n, 7.999), 10.0 / 13.0);
+}
+
+TEST(Criteria, OneTimeFractionMatchesFloatingCompareOnAGeneratedTrace) {
+  WorkloadConfig config;
+  config.num_owners = 300;
+  config.num_photos = 5'000;
+  const Trace trace = TraceGenerator{config}.generate();
+  const NextAccessInfo oracle = compute_next_access(trace);
+  const std::uint64_t n = trace.requests.size();
+  for (const double m : {0.0, 1.0, 12.5, 99.99, 1'000.0, 31'337.7, 1e9}) {
+    EXPECT_EQ(one_time_fraction(oracle, n, m),
+              reference_one_time_fraction(oracle, n, m))
+        << "m=" << m;
+  }
 }
 
 TEST(Criteria, LirsAdjustmentShrinksM) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <stdexcept>
+#include <vector>
+
+#include "trace/trace_generator.h"
+
 namespace otac {
 namespace {
 
@@ -118,6 +124,75 @@ TEST(Features, BacklogPhotoHasLargeAge) {
   FeatureExtractor fx{catalog};
   const auto row = fx.extract(make_request(2, 0), catalog.photo(2));
   EXPECT_FLOAT_EQ(row[FeatureExtractor::kPhotoAge], 144.0F);  // 1 day
+}
+
+TEST(Features, SharedLastAccessArrayMatchesPrivateArrays) {
+  // Two extractors over disjoint photo sets (even and odd ids) sharing one
+  // last-access array must produce exactly the rows of two extractors
+  // with private arrays — the sharded replay's shards rely on it.
+  WorkloadConfig config;
+  config.num_owners = 200;
+  config.num_photos = 3'000;
+  const Trace trace = TraceGenerator{config}.generate();
+  const PhotoCatalog& catalog = trace.catalog;
+  std::vector<std::int64_t> shared(catalog.photo_count(),
+                                   FeatureExtractor::kNeverAccessed);
+  std::vector<FeatureExtractor> own{FeatureExtractor{catalog},
+                                    FeatureExtractor{catalog}};
+  std::vector<FeatureExtractor> borrowed{FeatureExtractor{catalog, shared},
+                                         FeatureExtractor{catalog, shared}};
+  std::array<float, FeatureExtractor::kFeatureCount> a{};
+  std::array<float, FeatureExtractor::kFeatureCount> b{};
+  for (const Request& request : trace.requests) {
+    const PhotoMeta& photo = catalog.photo(request.photo);
+    const std::size_t set = request.photo % 2;
+    own[set].extract_and_observe(request, photo, a);
+    borrowed[set].extract_and_observe(request, photo, b);
+    ASSERT_EQ(a, b) << "photo " << request.photo;
+  }
+  EXPECT_GT(trace.requests.size(), 1'000u);
+  EXPECT_EQ(shared[trace.requests.back().photo],
+            trace.requests.back().time.seconds);
+}
+
+TEST(Features, CopiesOwnTheirStateUnlessTheArrayIsShared) {
+  const PhotoCatalog catalog = tiny_catalog();
+  const auto recency = [&](const FeatureExtractor& fx, std::int64_t now) {
+    return fx.extract(make_request(0, now),
+                      catalog.photo(0))[FeatureExtractor::kRecency];
+  };
+
+  // An owning extractor's copy is independent in both directions.
+  FeatureExtractor original{catalog};
+  original.observe(make_request(0, 600), catalog.photo(0));
+  FeatureExtractor copy = original;
+  copy.observe(make_request(0, 6'000), catalog.photo(0));
+  EXPECT_FLOAT_EQ(recency(original, 6'600), 10.0F);  // last access 600
+  EXPECT_FLOAT_EQ(recency(copy, 6'600), 1.0F);       // last access 6000
+  // Assignment and moves keep the copy's own array, not the source's.
+  FeatureExtractor assigned{catalog};
+  assigned = copy;
+  copy.observe(make_request(0, 6'500), catalog.photo(0));
+  EXPECT_FLOAT_EQ(recency(assigned, 6'600), 1.0F);
+  const FeatureExtractor moved = std::move(assigned);
+  EXPECT_FLOAT_EQ(recency(moved, 6'600), 1.0F);
+
+  // A shared-array extractor's copy writes the same array.
+  std::vector<std::int64_t> shared(catalog.photo_count(),
+                                   FeatureExtractor::kNeverAccessed);
+  FeatureExtractor first{catalog, shared};
+  FeatureExtractor second = first;
+  second.observe(make_request(0, 6'000), catalog.photo(0));
+  EXPECT_FLOAT_EQ(recency(first, 6'600), 1.0F);
+  EXPECT_EQ(shared[0], 6'000);
+}
+
+TEST(Features, RejectsASharedArrayShorterThanTheCatalog) {
+  const PhotoCatalog catalog = tiny_catalog();
+  std::vector<std::int64_t> short_array(catalog.photo_count() - 1,
+                                        FeatureExtractor::kNeverAccessed);
+  EXPECT_THROW((FeatureExtractor{catalog, short_array}),
+               std::invalid_argument);
 }
 
 }  // namespace

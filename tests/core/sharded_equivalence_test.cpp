@@ -17,49 +17,14 @@
 
 #include "cachesim/admission.h"
 #include "cachesim/simulator.h"
-#include "trace/trace_generator.h"
+#include "tests/core/sharded_fixture.h"
 #include "util/failpoint.h"
 #include "util/sim_time.h"
 
 namespace otac {
 namespace {
 
-class ShardedFixture : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    WorkloadConfig config;
-    config.num_owners = 500;
-    config.num_photos = 12'000;
-    trace_ = new Trace{TraceGenerator{config}.generate()};
-    system_ = new IntelligentCache{*trace_};
-    capacity_ =
-        static_cast<std::uint64_t>(system_->total_object_bytes() * 0.015);
-  }
-  static void TearDownTestSuite() {
-    delete system_;
-    delete trace_;
-    system_ = nullptr;
-    trace_ = nullptr;
-  }
-
-  static RunConfig config_for(PolicyKind kind, AdmissionMode mode,
-                              std::size_t shards) {
-    RunConfig config;
-    config.policy = kind;
-    config.capacity_bytes = capacity_;
-    config.mode = mode;
-    config.shards = shards;
-    return config;
-  }
-
-  static Trace* trace_;
-  static IntelligentCache* system_;
-  static std::uint64_t capacity_;
-};
-
-Trace* ShardedFixture::trace_ = nullptr;
-IntelligentCache* ShardedFixture::system_ = nullptr;
-std::uint64_t ShardedFixture::capacity_ = 0;
+using test::ShardedFixture;
 
 TEST(ShardOfPhoto, IsDeterministicInRangeAndRoughlyBalanced) {
   constexpr std::size_t kShards = 8;
